@@ -37,10 +37,13 @@ func TestMain(m *testing.M) {
 // op is a full coordinator-side run (spawn workers, ship state, train,
 // collect); tokens/s is computed from the coordinator's per-sweep
 // barrier timings only (sample wait + reconcile), so process spawn and
-// corpus preprocessing do not pollute the scaling ratio between worker
-// counts. On multi-core machines the 2-worker figure should approach
-// 2x the 1-worker figure; a single-core machine timeshares the worker
-// processes and shows ~1x.
+// corpus preprocessing do not pollute the comparison. The serial row
+// is the COST baseline: the same schedule on the same fixture with the
+// serial sparse sampler in this process, timed over its sweeps. Each
+// workers row reports cost_ratio, its tokens/s over the serial row's;
+// above 1 the distributed run beats one core. Worker processes share
+// the machine's cores with each other and the coordinator, so compare
+// rows with the core count in the bench header.
 func BenchmarkDistributedSweep(b *testing.B) {
 	const benchSweeps = 15
 	exe, err := os.Executable()
@@ -52,6 +55,25 @@ func BenchmarkDistributedSweep(b *testing.B) {
 	for i := range fix.docs {
 		tokens += fix.docs[i].NumTokens()
 	}
+	opt := topicmodel.Options{K: 96, Iterations: benchSweeps, Seed: 42}
+
+	serialRate := func(runs int) float64 {
+		var sweepTime time.Duration
+		for i := 0; i < runs; i++ {
+			m := topicmodel.NewModel(fix.docs, fix.v, opt)
+			t0 := time.Now()
+			for it := 0; it < benchSweeps; it++ {
+				m.Sweep()
+			}
+			sweepTime += time.Since(t0)
+		}
+		return float64(tokens*benchSweeps*runs) / sweepTime.Seconds()
+	}
+	var serial float64
+	b.Run("K96/serial", func(b *testing.B) {
+		serial = serialRate(b.N)
+		b.ReportMetric(serial, "tokens/s")
+	})
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("K96/workers%d", workers), func(b *testing.B) {
 			var sweepTime time.Duration
@@ -71,7 +93,7 @@ func BenchmarkDistributedSweep(b *testing.B) {
 					cmds[w] = cmd
 				}
 				job := fix.job
-				job.Model = topicmodel.Options{K: 96, Iterations: benchSweeps, Seed: 42}
+				job.Model = opt
 				_, err = Train(ln, job, Options{
 					Workers: workers,
 					SweepStats: func(st topicmodel.SweepStats) {
@@ -88,7 +110,12 @@ func BenchmarkDistributedSweep(b *testing.B) {
 				}
 				ln.Close()
 			}
-			b.ReportMetric(float64(tokens*benchSweeps*b.N)/sweepTime.Seconds(), "tokens/s")
+			rate := float64(tokens*benchSweeps*b.N) / sweepTime.Seconds()
+			b.ReportMetric(rate, "tokens/s")
+			if serial == 0 { // serial row filtered out: measure it here
+				serial = serialRate(1)
+			}
+			b.ReportMetric(rate/serial, "cost_ratio")
 		})
 	}
 }

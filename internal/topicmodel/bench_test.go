@@ -56,22 +56,35 @@ func BenchmarkSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepParallel measures in-process AD-LDA sweeps against
+// the COST baseline (McSherry et al., "Scalability! But at what
+// COST?"): the serial row is the sparse serial Sweep on the same
+// fixture and K, which is what SweepParallel(1) runs, so the workers
+// rows' tokens/s divided by the serial row's is the scale-out ratio
+// against the best single thread, not against the same code at one
+// worker.
 func BenchmarkSweepParallel(b *testing.B) {
 	docs, v := sweepBenchFixture(b)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("K200/workers%d", workers), func(b *testing.B) {
-			m := NewModel(docs, v, Options{K: 200, Iterations: 1, Seed: 42})
-			for i := 0; i < benchWarmupSweeps; i++ {
-				m.SweepParallel(workers)
+	for _, k := range []int{200, 1000} {
+		for _, workers := range []int{1, 2, 4} {
+			name := fmt.Sprintf("K%d/workers%d", k, workers)
+			if workers == 1 {
+				name = fmt.Sprintf("K%d/serial", k)
 			}
-			tokens := float64(m.TotalTokens())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.SweepParallel(workers)
-			}
-			b.ReportMetric(tokens*float64(b.N)/b.Elapsed().Seconds(), "tokens/s")
-		})
+			b.Run(name, func(b *testing.B) {
+				m := NewModel(docs, v, Options{K: k, Iterations: 1, Seed: 42})
+				for i := 0; i < benchWarmupSweeps; i++ {
+					m.SweepParallel(workers)
+				}
+				tokens := float64(m.TotalTokens())
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.SweepParallel(workers)
+				}
+				b.ReportMetric(tokens*float64(b.N)/b.Elapsed().Seconds(), "tokens/s")
+			})
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // Distributed AD-LDA support: the pieces of the sweep barrier that
@@ -13,12 +14,16 @@ import (
 // (ShardRanges), a fold of every worker's sparse N_wk delta
 // (FoldShardDeltas) — while each worker holds a shard model
 // (NewShardModel) whose document state covers only its range but whose
-// word-topic counts are the globals frozen at the last barrier.
-// Because every input to the per-clique draw (frozen globals, private
-// delta, document counts, RNG stream) is bit-identical to what the
-// corresponding in-process SweepParallel worker would see, the trained
-// model — and therefore its rendered topics — is byte-identical to an
-// in-process run with the same topology (worker count, ranges, seed).
+// word-topic counts are the globals frozen at the last barrier. Its
+// sweep (ShardSweep) is the same sparse bucketed worker draw as an
+// in-process SweepParallel goroutine's. Because every input to that
+// draw (frozen globals and their word-topic index, private delta,
+// document counts, RNG stream) is bit-identical to what the
+// corresponding in-process worker would see — both sides refresh the
+// index to the same post-fold rows, and a list's order is a pure
+// function of its counts — the trained model, and therefore its
+// rendered topics, is byte-identical to an in-process run with the
+// same topology (worker count, ranges, seed).
 //
 // The wire unit is CountRows: a sparse set of K-stride word rows plus
 // the K topic totals. Uploaded by a worker it carries the shard's
@@ -40,17 +45,32 @@ type CountRows struct {
 // AppendTo appends the little-endian wire encoding of cr to buf:
 //
 //	u32 nrows | u32 K | nrows × { u32 word | K × i32 } | K × i64
+//
+// The barrier payloads are megabytes at realistic V and K, so the
+// buffer grows once to the encoded size.
 func (cr *CountRows) AppendTo(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(cr.Words)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(cr.K))
+	n := 8 + 8*len(cr.Nk)
+	for _, row := range cr.Rows {
+		n += 4 + 4*len(row)
+	}
+	off := len(buf)
+	buf = slices.Grow(buf, n)[:off+n]
+	b := buf[off:]
+	le := binary.LittleEndian
+	le.PutUint32(b, uint32(len(cr.Words)))
+	le.PutUint32(b[4:], uint32(cr.K))
+	b = b[8:]
 	for i, w := range cr.Words {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(w))
+		le.PutUint32(b, uint32(w))
+		b = b[4:]
 		for _, v := range cr.Rows[i] {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+			le.PutUint32(b, uint32(v))
+			b = b[4:]
 		}
 	}
 	for _, v := range cr.Nk {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		le.PutUint64(b, uint64(v))
+		b = b[8:]
 	}
 	return buf
 }
@@ -180,30 +200,17 @@ func (m *Model) SetPriors(alpha []float64, alphaSum, beta, betaSum float64) erro
 }
 
 // ShardSweep runs one sweep of this (shard) model as distributed
-// worker workerIndex: the same RNG stream, visit order and per-clique
-// math as the corresponding SweepParallel goroutine. It returns the
-// shard's sparse N_wk delta; the rows alias reusable worker buffers,
-// so the caller must encode (or copy) the delta and then call
+// worker workerIndex: the same RNG stream, visit order and sparse
+// bucketed draw as the corresponding SweepParallel goroutine, against
+// the globals installed at the last barrier. It returns the shard's
+// sparse N_wk delta; the rows alias reusable worker buffers, so the
+// caller must encode (or copy) the delta and then call
 // ResetShardDelta before the next sweep.
 func (m *Model) ShardSweep(workerIndex int, base uint64) *CountRows {
-	ps := m.ensurePar(1)
-	ws := ps.workers[0]
-	ws.rng.Seed(base + uint64(workerIndex)*workerSeedStride)
-	for d := range m.Docs {
-		for g := range m.Docs[d].Cliques {
-			m.sampleCliqueDelta(ws, d, g)
-		}
-	}
-	cr := &CountRows{
-		K:     m.K,
-		Words: ws.touched,
-		Rows:  make([][]int32, len(ws.touched)),
-		Nk:    ws.nk,
-	}
-	for i, w := range ws.touched {
-		cr.Rows[i] = ws.rows[ws.rowOf[w]]
-	}
-	return cr
+	wt := m.ensureSparse().wt
+	ws := m.ensurePar(1).workers[0]
+	m.sweepShard(ws, wt, 0, len(m.Docs), base+uint64(workerIndex)*workerSeedStride)
+	return &CountRows{K: m.K, Words: ws.touched, Rows: ws.deltaRows(), Nk: ws.dnk}
 }
 
 // ResetShardDelta zeroes the worker delta produced by the last
@@ -216,36 +223,24 @@ func (m *Model) ResetShardDelta() {
 	}
 	ws := m.par.workers[0]
 	for _, w := range ws.touched {
-		row := ws.rows[ws.rowOf[w]]
-		for k := range row {
-			row[k] = 0
-		}
-		ws.rowOf[w] = -1
+		ws.slotOf[w] = -1
 	}
 	ws.touched = ws.touched[:0]
-	ws.used = 0
-	for k := range ws.nk {
-		ws.nk[k] = 0
-	}
+	clear(ws.dnk)
 }
 
-// foldState is the coordinator's reusable scratch for FoldShardDeltas:
-// an O(V) index of rows touched in the current fold plus the touch
-// order, mirroring parWorker's sparse-delta bookkeeping.
+// foldState is the reusable scratch for folding worker deltas (the
+// coordinator's FoldShardDeltas, the in-process reconcile): an O(V)
+// index of rows touched in the current fold plus the touch order,
+// mirroring parWorker's sparse-delta bookkeeping.
 type foldState struct {
 	rowOf []int32 // [V], -1 = untouched this fold
 	words []int32 // touched words in first-touch order
 }
 
-// FoldShardDeltas applies every worker's sweep delta to the global
-// counts — the distributed form of SweepParallel's reconcile — and
-// returns the rebroadcast payload: the post-fold values of every row
-// touched this sweep plus the full topic totals. The returned rows
-// alias the model's count arena and its Nk slice; they are valid until
-// the next mutation of the model. Folding is integer addition, so the
-// result is independent of delta order.
-func (m *Model) FoldShardDeltas(deltas []*CountRows) (*CountRows, error) {
-	if m.fold == nil {
+// foldScratch returns the model's fold scratch, emptied.
+func (m *Model) foldScratch() *foldState {
+	if m.fold == nil || len(m.fold.rowOf) != m.V {
 		f := &foldState{rowOf: make([]int32, m.V)}
 		for w := range f.rowOf {
 			f.rowOf[w] = -1
@@ -257,7 +252,26 @@ func (m *Model) FoldShardDeltas(deltas []*CountRows) (*CountRows, error) {
 		f.rowOf[w] = -1
 	}
 	f.words = f.words[:0]
+	return f
+}
 
+// add records word w as touched by the current fold.
+func (f *foldState) add(w int32) {
+	if f.rowOf[w] < 0 {
+		f.rowOf[w] = int32(len(f.words))
+		f.words = append(f.words, w)
+	}
+}
+
+// FoldShardDeltas applies every worker's sweep delta to the global
+// counts — the distributed form of SweepParallel's reconcile — and
+// returns the rebroadcast payload: the post-fold values of every row
+// touched this sweep plus the full topic totals. The returned rows
+// alias the model's count arena and its Nk slice; they are valid until
+// the next mutation of the model. Folding is integer addition, so the
+// result is independent of delta order.
+func (m *Model) FoldShardDeltas(deltas []*CountRows) (*CountRows, error) {
+	f := m.foldScratch()
 	for di, cr := range deltas {
 		if cr.K != m.K {
 			return nil, fmt.Errorf("topicmodel: delta %d has K=%d, want %d", di, cr.K, m.K)
@@ -269,10 +283,7 @@ func (m *Model) FoldShardDeltas(deltas []*CountRows) (*CountRows, error) {
 			if w < 0 || int(w) >= m.V {
 				return nil, fmt.Errorf("topicmodel: delta %d touches word %d outside vocab %d", di, w, m.V)
 			}
-			if f.rowOf[w] < 0 {
-				f.rowOf[w] = int32(len(f.words))
-				f.words = append(f.words, w)
-			}
+			f.add(w)
 			dst := m.nwkRow(w)
 			for k, v := range cr.Rows[i] {
 				dst[k] += v
@@ -289,6 +300,7 @@ func (m *Model) FoldShardDeltas(deltas []*CountRows) (*CountRows, error) {
 		row := m.nwkRow(w)
 		for k, v := range row {
 			if v < 0 {
+				m.invalidateSparse()
 				return nil, fmt.Errorf("topicmodel: fold drove Nwk[%d][%d] negative (%d)", w, k, v)
 			}
 		}
@@ -296,10 +308,11 @@ func (m *Model) FoldShardDeltas(deltas []*CountRows) (*CountRows, error) {
 	}
 	for k, v := range m.Nk {
 		if v < 0 {
+			m.invalidateSparse()
 			return nil, fmt.Errorf("topicmodel: fold drove Nk[%d] negative (%d)", k, v)
 		}
 	}
-	m.invalidateSparse()
+	m.refreshWordRows(f.words)
 	return out, nil
 }
 
@@ -314,14 +327,16 @@ func (m *Model) SetGlobalRows(cr *CountRows) error {
 	if len(cr.Nk) != m.K {
 		return fmt.Errorf("topicmodel: global rows have %d topic totals, want %d", len(cr.Nk), m.K)
 	}
-	for i, w := range cr.Words {
+	for _, w := range cr.Words {
 		if w < 0 || int(w) >= m.V {
 			return fmt.Errorf("topicmodel: global row word %d outside vocab %d", w, m.V)
 		}
+	}
+	for i, w := range cr.Words {
 		copy(m.nwkRow(w), cr.Rows[i])
 	}
 	copy(m.Nk, cr.Nk)
-	m.invalidateSparse()
+	m.refreshWordRows(cr.Words)
 	return nil
 }
 

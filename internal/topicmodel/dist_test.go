@@ -182,6 +182,36 @@ func TestDistBarrierSkewedCorpus(t *testing.T) {
 	assertModelsIdentical(t, want, got)
 }
 
+// TestDistBarrierMatchesSweepParallelSparse is the byte-identity pin
+// at realistic sparsity: K=50 over a few hundred words with phrase
+// cliques of length 1–4, where word-topic rows are mostly zero, so each
+// side's index is refreshed row by row after every fold (in process the
+// union of the workers' touched words, distributed the rebroadcast
+// rows). A stale refresh on either side shows up as a diff.
+func TestDistBarrierMatchesSweepParallelSparse(t *testing.T) {
+	const v = 400
+	docs := plantedCliqueDocs(150, v, 29)
+	for _, workers := range []int{2, 3} {
+		opt := Options{K: 50, Iterations: 30, OptimizeHyper: true, HyperEvery: 10, BurnIn: 5, Seed: 83}
+		want := TrainParallel(docs, v, opt, workers)
+		got := distSimulate(t, docs, v, opt, workers)
+		assertModelsIdentical(t, want, got)
+		if err := want.CheckInvariants(); err != nil {
+			t.Fatalf("%d workers: in-process invariants: %v", workers, err)
+		}
+		nnz, rows := 0, 0
+		for w := 0; w < v; w++ {
+			if n := len(want.sp.wt[w]); n > 0 {
+				nnz += n
+				rows++
+			}
+		}
+		if mean := float64(nnz) / float64(rows); mean > float64(opt.K)/4 {
+			t.Fatalf("%d workers: word rows hold %.1f of %d topics on average; the pin needs sparse rows", workers, mean, opt.K)
+		}
+	}
+}
+
 func TestCountRowsCodecErrors(t *testing.T) {
 	cr := &CountRows{K: 2, Words: []int32{3}, Rows: [][]int32{{1, -2}}, Nk: []int64{5, -5}}
 	wire := cr.AppendTo(nil)

@@ -74,7 +74,7 @@ func (m *Model) Extend(newDocs []Doc, newV int, seed uint64) error {
 		cliques := m.Docs[d].Cliques
 		m.Z[d] = make([]int32, len(cliques))
 		for g, clique := range cliques {
-			w := m.cliqueWeightsInto(m.ndkRow(d), clique)
+			w := m.denseCliqueWeights(d, clique)
 			k := int32(m.rng.Categorical(w))
 			m.Z[d][g] = k
 			m.addClique(d, clique, k, 1)

@@ -29,9 +29,11 @@ type Options struct {
 	// Seed drives the sampler deterministically.
 	Seed uint64
 	// DenseSampler selects the reference O(K)-per-clique dense sampler
-	// instead of the default sparse bucketed one. Both draw from the
-	// exact conditional of Eq. 7; the dense path exists as the
-	// correctness baseline for equivalence tests and benchmarks.
+	// instead of the default sparse bucketed one, for serial sweeps
+	// only: parallel and distributed workers always run the sparse
+	// draw. Both draw from the exact conditional of Eq. 7; the dense
+	// path exists as the correctness baseline for equivalence tests
+	// and benchmarks.
 	DenseSampler bool
 	// OnIteration, when set, runs after each sweep (1-based); used for
 	// perplexity curves and runtime instrumentation.
@@ -240,13 +242,7 @@ func (m *Model) addClique(d int, clique []int32, k int32, sign int32) {
 //	p(C = k | ·) ∝ Π_{j=1..W} (α_k + N_dk^-  + j−1) ·
 //	               (β_wj + N_{wj,k}^-) / (Σβ + N_k^- + j−1)
 func (m *Model) denseCliqueWeights(d int, clique []int32) []float64 {
-	return m.cliqueWeightsInto(m.ndkRow(d), clique)
-}
-
-// cliqueWeightsInto is denseCliqueWeights against an explicit
-// document count row — the sparse sampler's fallback reuses it with
-// its cached row.
-func (m *Model) cliqueWeightsInto(ndk []int32, clique []int32) []float64 {
+	ndk := m.ndkRow(d)
 	w := m.weights
 	if len(clique) == 1 {
 		// LDA fast path (W = 1).

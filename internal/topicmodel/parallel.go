@@ -24,15 +24,26 @@ import (
 // approximation. Results are deterministic for a fixed worker count
 // but differ from the serial sampler's.
 //
-// Memory: a worker's delta is sparse — one reusable K-stride row per
-// word its shard actually touched, plus an O(V) row index — so a
-// sweep's footprint is O(cells touched) instead of the V×K count copy
-// per worker the first implementation snapshotted (4·V·K bytes per
-// worker per sweep). The buffers persist across sweeps: after the
-// first sweep of a training run, SweepParallel allocates nothing
-// proportional to the model. Reconciliation likewise walks only the
-// touched rows, worker-outermost, each row one contiguous K-stride
-// block of the arena.
+// Sampling: each worker runs the serial sampler's SparseLDA bucketed
+// draw (sparse.go) over its view of the counts — the frozen globals
+// plus its delta. The smoothing and document buckets divide by
+// N_k + δ_k; the word bucket and the phrase candidates walk, per word
+// the worker touched, a private live list of the topics with
+// N_wk + δ_wk > 0, seeded from the frozen globals' word-topic index on
+// first touch and kept current like the serial index. A draw costs
+// O(K_d + K_w) plus the rare smoothing walk, as in a serial sweep, so
+// W workers on W cores beat one core. The frozen index itself is built
+// once and then refreshed row by row after each fold: in process for
+// the words the workers touched, on a distributed worker for the
+// rebroadcast rows (SetGlobalRows).
+//
+// Memory: a worker's delta is sparse — one reusable live list per word
+// its shard touched, plus an O(V) slot index — and is never stored as
+// K-stride rows while sampling; δ_w is the live list minus the frozen
+// one. The buffers persist across sweeps: after the first sweeps of a
+// training run, SweepParallel allocates nothing proportional to the
+// model. Reconciliation walks only those lists, worker-outermost, so a
+// touched row costs O(nnz), not O(K).
 
 // workerSeedStride separates the per-worker RNG streams derived from a
 // sweep's base draw. The distributed worker (dist.go) must use the
@@ -116,6 +127,7 @@ func (m *Model) SweepParallel(workers int) {
 	}
 	base := m.NextSweepBase()
 	ps := m.ensurePar(workers)
+	sp := m.ensureSparse() // its word-topic index is the frozen globals' index
 
 	stats := m.sweepStats
 	var t0 time.Time
@@ -138,12 +150,7 @@ func (m *Model) SweepParallel(workers int) {
 			if stats != nil {
 				start = time.Now()
 			}
-			ws.rng.Seed(base + uint64(wi)*workerSeedStride)
-			for d := lo; d < hi; d++ {
-				for g := range m.Docs[d].Cliques {
-					m.sampleCliqueDelta(ws, d, g)
-				}
-			}
+			m.sweepShard(ws, sp.wt, lo, hi, base+uint64(wi)*workerSeedStride)
 			if stats != nil {
 				perWorker[wi] = time.Since(start)
 			}
@@ -157,31 +164,7 @@ func (m *Model) SweepParallel(workers int) {
 		sampleDur = time.Since(t0)
 		t1 = time.Now()
 	}
-
-	// Reconcile worker-outermost: each worker's touched rows are
-	// contiguous K-stride blocks, applied and re-zeroed in one pass,
-	// O(touched rows × K) total.
-	for _, ws := range ps.workers {
-		for _, w := range ws.touched {
-			row := ws.rows[ws.rowOf[w]]
-			dst := m.nwkRow(w)
-			for k, v := range row {
-				dst[k] += v
-				row[k] = 0
-			}
-			ws.rowOf[w] = -1
-		}
-		ws.touched = ws.touched[:0]
-		ws.used = 0
-		for k, v := range ws.nk {
-			m.Nk[k] += v
-			ws.nk[k] = 0
-		}
-	}
-	// The bulk count update bypassed the sparse sampler's word-topic
-	// index; rebuild it lazily on the next serial sparse sweep.
-	m.invalidateSparse()
-
+	m.reconcile(ps, sp)
 	if stats != nil {
 		stats(SweepStats{
 			Sweep:        m.sweepSeq,
@@ -193,23 +176,67 @@ func (m *Model) SweepParallel(workers int) {
 	}
 }
 
+// reconcile folds every worker's delta into the global counts,
+// worker-outermost, and brings the word-topic index up to date. A
+// worker's delta for word w is its live list minus the frozen list, so
+// each touched row costs O(nnz), not O(K). The frozen lists stay in
+// place (their packed counts are the values being replaced) until
+// every worker has folded; topics a fold may have made nonzero are
+// appended, and one resync per touched word then restores the counts
+// and the order.
+func (m *Model) reconcile(ps *parState, sp *sparseSampler) {
+	f := m.foldScratch()
+	for _, ws := range ps.workers {
+		for si, w := range ws.touched {
+			dst := m.nwkRow(w)
+			for _, e := range sp.wt[w] {
+				dst[uint32(e)] -= int32(e >> 32)
+			}
+			for _, e := range ws.live[si] {
+				k := uint32(e)
+				if dst[k] == 0 {
+					sp.wt[w] = append(sp.wt[w], uint64(k))
+				}
+				dst[k] += int32(e >> 32)
+			}
+			ws.slotOf[w] = -1
+			f.add(w)
+		}
+		ws.touched = ws.touched[:0]
+		for k, v := range ws.dnk {
+			m.Nk[k] += v
+			ws.dnk[k] = 0
+		}
+	}
+	for _, w := range f.words {
+		sp.wt[w] = sortPacked(sp.recount(w))
+	}
+}
+
 // parState holds the reusable worker buffers across sweeps.
 type parState struct {
 	workers []*parWorker
 }
 
-// parWorker is one worker's sparse delta against the frozen global
-// counts, plus its sampling scratch. All buffers are reused; rows are
-// zeroed during reconciliation so a sweep starts clean.
+// parWorker is one AD-LDA worker: SparseLDA buckets over the
+// barrier-frozen global counts plus its private sparse delta, and
+// sampling scratch. The worker's view of a count is global + delta:
+// N_k + δ_k in buckets.nk, and, for each word it touched, a live
+// packed topic list of N_wk + δ_wk, seeded from the frozen index on
+// first touch and maintained like the serial index. The word delta is
+// never stored densely while sampling: δ_w is the live list minus the
+// frozen one, materialised as K-stride rows only for the wire
+// (ShardSweep). All buffers are reused across sweeps.
 type parWorker struct {
-	rowOf   []int32   // [V] index into rows, -1 = word untouched
-	rows    [][]int32 // row pool, each K entries
-	used    int       // rows handed out this sweep
-	touched []int32   // words with a live row, in first-touch order
-	nk      []int64   // [K] topic-total delta
-	weights []float64 // [K] sampling scratch
-	rowPtr  [][]int32 // per-clique delta-row cache (phrase cliques)
-	gRowPtr [][]int32 // per-clique global-row cache (phrase cliques)
+	buckets
+	wt      [][]uint64 // frozen globals' word-topic index (shared, read-only)
+	dnk     []int64    // [K] δ_k, the topic-total delta
+	slotOf  []int32    // [V] index into live, -1 = word untouched
+	live    [][]uint64 // per slot: packed live topic list of its word
+	touched []int32    // word of each slot, in first-touch order
+	rows    [][]int32  // per slot: dense δ_w, materialised by ShardSweep
+	wcnt    []int32    // [W·K] scratch count rows of the clique at hand, zero between draws
+	crows   [][]int32  // the clique's rows in wcnt
 	rng     *xrand.RNG
 }
 
@@ -220,16 +247,18 @@ func (m *Model) ensurePar(workers int) *parState {
 	if m.par != nil && len(m.par.workers) == workers {
 		return m.par
 	}
+	lengths := cliqueLengths(m.Docs)
 	ps := &parState{workers: make([]*parWorker, workers)}
 	for i := range ps.workers {
 		ws := &parWorker{
-			rowOf:   make([]int32, m.V),
-			nk:      make([]int64, m.K),
-			weights: make([]float64, m.K),
+			buckets: newBuckets(m.K, lengths),
+			dnk:     make([]int64, m.K),
+			slotOf:  make([]int32, m.V),
 			rng:     xrand.New(0),
 		}
-		for w := range ws.rowOf {
-			ws.rowOf[w] = -1
+		ws.nk = make([]int64, m.K)
+		for w := range ws.slotOf {
+			ws.slotOf[w] = -1
 		}
 		ps.workers[i] = ws
 	}
@@ -237,72 +266,146 @@ func (m *Model) ensurePar(workers int) *parState {
 	return ps
 }
 
-// deltaRow returns the worker's delta row for word w, creating (or
-// recycling) one on first touch.
-func (ws *parWorker) deltaRow(w int32, k int) []int32 {
-	if ri := ws.rowOf[w]; ri >= 0 {
-		return ws.rows[ri]
+// slot returns the worker's slot for word w, seeding its live list
+// from the frozen index on first touch.
+func (ws *parWorker) slot(w int32) int32 {
+	if si := ws.slotOf[w]; si >= 0 {
+		return si
 	}
-	if ws.used == len(ws.rows) {
-		ws.rows = append(ws.rows, make([]int32, k))
+	si := int32(len(ws.touched))
+	if int(si) == len(ws.live) {
+		ws.live = append(ws.live, nil)
 	}
-	row := ws.rows[ws.used]
-	ws.rowOf[w] = int32(ws.used)
-	ws.used++
+	ws.slotOf[w] = si
 	ws.touched = append(ws.touched, w)
-	return row
+	ws.live[si] = append(ws.live[si][:0], ws.wt[w]...)
+	return si
 }
 
-// sampleCliqueDelta is the dense clique draw against the worker's view
-// of the counts: frozen global + private delta. Ndk/Nd rows are owned
-// by the document's worker, so they mutate in place.
-func (m *Model) sampleCliqueDelta(ws *parWorker, d, g int) {
-	clique := m.Docs[d].Cliques[g]
-	old := m.Z[d][g]
-	ndk := m.ndkRow(d)
-	ndk[old] -= int32(len(clique))
-	for _, w := range clique {
-		ws.deltaRow(w, m.K)[old]--
+// sweepShard resamples documents [lo, hi) as one AD-LDA worker whose
+// RNG stream starts at seed. wt is the word-topic index of the frozen
+// globals, shared read-only by every worker of the sweep. Document
+// rows (Z, Ndk) in the range belong to this worker alone.
+func (m *Model) sweepShard(ws *parWorker, wt [][]uint64, lo, hi int, seed uint64) {
+	ws.wt = wt
+	ws.rng.Seed(seed)
+	copy(ws.nk, m.Nk)
+	ws.reset(m.Alpha, m.Beta, m.BetaSum, ws.nk)
+	for d := lo; d < hi; d++ {
+		cliques := m.Docs[d].Cliques
+		if len(cliques) == 0 {
+			continue
+		}
+		ws.startDoc(m.ndkRow(d))
+		z := m.Z[d]
+		for g, clique := range cliques {
+			ws.apply(clique, z[g], -1)
+			z[g] = ws.draw(clique)
+			ws.apply(clique, z[g], 1)
+		}
 	}
-	ws.nk[old] -= int64(len(clique))
+}
 
-	wts := ws.weights
+// draw samples the topic of a removed clique from the worker's view:
+// the serial draws over the words' live lists, the dense conditional
+// when their masses are degenerate.
+func (ws *parWorker) draw(clique []int32) int32 {
+	var k int32
+	var ok bool
 	if len(clique) == 1 {
-		word := clique[0]
-		gRow := m.nwkRow(word)
-		dRow := ws.rows[ws.rowOf[word]] // live: the removal above touched it
-		for k := 0; k < m.K; k++ {
-			wts[k] = (m.Alpha[k] + float64(ndk[k])) *
-				(m.Beta + float64(gRow[k]+dRow[k])) /
-				(m.BetaSum + float64(m.Nk[k]+ws.nk[k]))
-		}
+		k, ok = ws.drawUnigram(ws.live[ws.slotOf[clique[0]]], ws.rng)
 	} else {
-		dRows := ws.rowPtr[:0]
-		gRows := ws.gRowPtr[:0]
-		for _, w := range clique {
-			dRows = append(dRows, ws.rows[ws.rowOf[w]])
-			gRows = append(gRows, m.nwkRow(w))
+		lists := ws.cliqueLists(clique)
+		k, ok = ws.drawPhrase(lists, ws.countRows(lists), ws.rng)
+		ws.clearRows(lists)
+	}
+	if !ok {
+		lists := ws.cliqueLists(clique)
+		k = ws.denseDraw(ws.countRows(lists), ws.rng)
+		ws.clearRows(lists)
+	}
+	return k
+}
+
+// countRows scatters the clique words' live lists into K-stride
+// scratch rows, the form the phrase and dense draws read; clearRows
+// zeroes the scattered entries again.
+func (ws *parWorker) countRows(lists [][]uint64) [][]int32 {
+	k := ws.k
+	if len(ws.wcnt) < len(lists)*k {
+		ws.wcnt = make([]int32, len(lists)*k)
+	}
+	rows := ws.crows[:0]
+	for j, list := range lists {
+		row := ws.wcnt[j*k : (j+1)*k : (j+1)*k]
+		for _, e := range list {
+			row[uint32(e)] = int32(e >> 32)
 		}
-		ws.rowPtr, ws.gRowPtr = dRows, gRows
-		for k := 0; k < m.K; k++ {
-			p := 1.0
-			ak := m.Alpha[k] + float64(ndk[k])
-			denom := m.BetaSum + float64(m.Nk[k]+ws.nk[k])
-			for j := range clique {
-				fj := float64(j)
-				nw := gRows[j][k] + dRows[j][k]
-				p *= (ak + fj) * (m.Beta + float64(nw)) / (denom + fj)
-			}
-			wts[k] = p
+		rows = append(rows, row)
+	}
+	ws.crows = rows
+	return rows
+}
+
+func (ws *parWorker) clearRows(lists [][]uint64) {
+	for j, list := range lists {
+		row := ws.wcnt[j*ws.k : (j+1)*ws.k]
+		for _, e := range list {
+			row[uint32(e)] = 0
 		}
 	}
-	k := int32(ws.rng.Categorical(wts))
-	m.Z[d][g] = k
-	ndk[k] += int32(len(clique))
+}
+
+// cliqueLists returns the live lists of the clique's words, which the
+// removal of the clique has already touched.
+func (ws *parWorker) cliqueLists(clique []int32) [][]uint64 {
+	words := ws.words[:0]
 	for _, w := range clique {
-		ws.deltaRow(w, m.K)[k]++
+		words = append(words, ws.live[ws.slotOf[w]])
 	}
-	ws.nk[k] += int64(len(clique))
+	ws.words = words
+	return words
+}
+
+// apply adds (sign=+1) or removes (sign=-1) a clique's counts for
+// topic k in the current document: the document row in place, the
+// live lists and topic totals, then the buckets.
+func (ws *parWorker) apply(clique []int32, k int32, sign int32) {
+	w := int32(len(clique))
+	oldNdk := ws.ndkRow[k]
+	newNdk := oldNdk + sign*w
+	ws.ndkRow[k] = newNdk
+	ws.nk[k] += int64(sign * w)
+	ws.dnk[k] += int64(sign * w)
+	for _, word := range clique {
+		si := ws.slot(word)
+		if sign > 0 {
+			ws.live[si] = wtInc(ws.live[si], uint32(k))
+		} else {
+			ws.live[si] = wtDec(ws.live[si], uint32(k))
+		}
+	}
+	ws.moveTopic(k, oldNdk, newNdk)
+}
+
+// deltaRows materialises the sweep's word delta as dense K-stride rows,
+// one per touched word in slot order: δ_w = live list − frozen list.
+// The rows are reused buffers, valid until the next call.
+func (ws *parWorker) deltaRows() [][]int32 {
+	for len(ws.rows) < len(ws.touched) {
+		ws.rows = append(ws.rows, make([]int32, ws.k))
+	}
+	for si, w := range ws.touched {
+		row := ws.rows[si]
+		clear(row)
+		for _, e := range ws.wt[w] {
+			row[uint32(e)] -= int32(e >> 32)
+		}
+		for _, e := range ws.live[si] {
+			row[uint32(e)] += int32(e >> 32)
+		}
+	}
+	return ws.rows[:len(ws.touched)]
 }
 
 // TrainParallel is Train with SweepParallel; see the package-level

@@ -96,13 +96,14 @@ type Options struct {
 	// TopicWorkers > 1 trains the topic model with the approximate
 	// AD-LDA-style distributed sampler (see internal/topicmodel's
 	// parallel notes): deterministic for a fixed worker count, held-out
-	// quality comparable to the serial sampler, sweeps up to
-	// TopicWorkers times faster. Workers accumulate sparse count deltas
-	// into buffers reused across sweeps, so the per-sweep memory
-	// overhead is O(cells touched by the worker's shard) — not the
-	// O(V×K) per-worker count copy of earlier releases. 0 or 1 selects
-	// the exact serial sampler (sparse bucketed Gibbs) used for all
-	// paper-reproduction experiments.
+	// quality comparable to the serial sampler. Every worker runs the
+	// serial sampler's sparse bucketed draw, so on as many cores a sweep
+	// runs up to TopicWorkers times faster than the serial sampler.
+	// Workers accumulate sparse count deltas into buffers reused across
+	// sweeps, so the per-sweep memory overhead is O(cells touched by the
+	// worker's shard) — not the O(V×K) per-worker count copy of earlier
+	// releases. 0 or 1 selects the exact serial sampler (sparse bucketed
+	// Gibbs) used for all paper-reproduction experiments.
 	TopicWorkers int
 }
 
