@@ -330,7 +330,7 @@ func (c *coordinator) epoch(ws []*wconn) (*topicmodel.Model, *wconn, error) {
 
 	// SETUP + GLOBALS, then the READY checksum barrier. Setup frames
 	// carry per-shard state; sends run per worker concurrently.
-	globals := encodeGlobals(m)
+	globals := m.GlobalRows().AppendTo(nil)
 	err = each(ws, func(w *wconn) error {
 		return c.setupWorker(w, m, globals, len(ws))
 	})
@@ -673,12 +673,9 @@ func decodeDelta(payload []byte, w *wconn, k, v int, deltas []*topicmodel.CountR
 	if r.err != nil {
 		return r.err
 	}
-	cr, n, err := topicmodel.DecodeCountRows(r.data, v, k)
+	cr, err := topicmodel.DecodeCountRows(r.data, v, k)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrProtocol, err)
-	}
-	if n != len(r.data) {
-		return fmt.Errorf("%w: %d trailing bytes after delta", ErrProtocol, len(r.data)-n)
+		return fmt.Errorf("%w: delta: %w", ErrProtocol, err)
 	}
 	deltas[w.index] = cr
 	return nil
@@ -707,17 +704,6 @@ func decodeShardZ(payload []byte, wantDocs int) ([][]int32, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes after shard state", ErrProtocol, len(r.data))
 	}
 	return z, r.err
-}
-
-// encodeGlobals serialises the dense word-topic counts + topic totals.
-func encodeGlobals(m *topicmodel.Model) []byte {
-	buf := make([]byte, 0, 8+4*m.V*m.K+8*m.K)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.V))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.K))
-	for w := 0; w < m.V; w++ {
-		buf = appendI32s(buf, m.Nwk[w])
-	}
-	return appendI64s(buf, m.Nk)
 }
 
 // workerErr tags an error with the worker it came from so the

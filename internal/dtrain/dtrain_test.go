@@ -1,7 +1,9 @@
 package dtrain
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -391,4 +393,77 @@ func TestShardMismatchAborts(t *testing.T) {
 	if !strings.Contains(err.Error(), "shard mismatch") {
 		t.Fatalf("checksum failure not reported as shard mismatch: %v", err)
 	}
+}
+
+// TestProtocolVersionMismatch: version 3 replaced the dense count rows
+// of GLOBALS, DELTA and ROWS with sparse ones, so a version-2 peer must
+// be refused on both sides with ErrProtocol naming both versions. The
+// coordinator rejects a version-2 HELLO and tells the worker why in an
+// ABORT; a worker rejects a version-2 coordinator's SETUP the same way.
+func TestProtocolVersionMismatch(t *testing.T) {
+	const old = 2
+	t.Run("coordinator refuses worker", func(t *testing.T) {
+		fix := buildFixture(t, "20conf", 30)
+		ln := listen(t)
+		told := make(chan string, 1)
+		go func() {
+			conn, err := Dial(ln.Addr().String(), 10*time.Second)
+			if err != nil {
+				told <- err.Error()
+				return
+			}
+			defer conn.Close()
+			fr := &framer{conn: conn, timeout: 10 * time.Second}
+			_ = fr.send(fHello, binary.LittleEndian.AppendUint32(nil, old))
+			_, err = fr.recvExpect(fSetup)
+			told <- fmt.Sprint(err)
+		}()
+		job := fix.job
+		job.Model = topicmodel.Options{K: 3, Iterations: 2, Seed: 5}
+		_, err := Train(ln, job, Options{Workers: 1, BarrierTimeout: 10 * time.Second})
+		want := fmt.Sprintf("worker speaks protocol %d, coordinator %d", old, protoVersion)
+		if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("coordinator error %v, want ErrProtocol naming %q", err, want)
+		}
+		if got := <-told; !strings.Contains(got, "peer aborted") || !strings.Contains(got, want) {
+			t.Fatalf("worker was told %q, want an ABORT naming %q", got, want)
+		}
+	})
+	t.Run("worker refuses coordinator", func(t *testing.T) {
+		ln := listen(t)
+		told := make(chan string, 1)
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				told <- err.Error()
+				return
+			}
+			defer conn.Close()
+			fr := &framer{conn: conn, timeout: 10 * time.Second}
+			if _, err := fr.recvExpect(fHello); err != nil {
+				told <- err.Error()
+				return
+			}
+			var setup bytes.Buffer
+			if err := gob.NewEncoder(&setup).Encode(setupMsg{Proto: old}); err != nil {
+				told <- err.Error()
+				return
+			}
+			_ = fr.send(fSetup, setup.Bytes())
+			_, err = fr.recvExpect(fReady)
+			told <- fmt.Sprint(err)
+		}()
+		conn, err := Dial(ln.Addr().String(), 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = RunWorker(conn, WorkerOptions{BarrierTimeout: 10 * time.Second})
+		want := fmt.Sprintf("coordinator speaks protocol %d, worker %d", old, protoVersion)
+		if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("worker error %v, want ErrProtocol naming %q", err, want)
+		}
+		if got := <-told; !strings.Contains(got, "peer aborted") || !strings.Contains(got, want) {
+			t.Fatalf("coordinator was told %q, want an ABORT naming %q", got, want)
+		}
+	})
 }

@@ -9,15 +9,20 @@
 //
 //	worker → HELLO                    protocol version
 //	coord  → SETUP                    doc range, priors, shard Z, mined phrases (gob)
-//	coord  → GLOBALS                  dense word-topic counts + topic totals
+//	coord  → GLOBALS                  every nonzero word-topic count + topic totals
 //	worker → READY                    shard checksum — worker rebuilt the same docs
 //	per sweep:
 //	  coord  → SWEEP                  iteration, RNG base, wantZ flag, current priors
-//	  worker → DELTA                  sparse N_wk delta
+//	  worker → DELTA                  N_wk delta of the words whose counts moved
 //	  worker → CKPT                   full shard Z (only when SWEEP set wantZ)
-//	  coord  → ROWS                   post-fold values of all touched rows
+//	  coord  → ROWS                   post-fold nonzero counts of all touched rows
 //	coord  → FINISH; worker → FINAL   final shard assignments
 //	either → ABORT                    named failure, human-readable cause
+//
+// GLOBALS, DELTA and ROWS carry one codec, topicmodel.CountRows: per
+// word, a list of packed (count, topic) entries — the layout of the
+// samplers' word-topic index — so a frame costs O(nonzeros), not
+// O(rows × K).
 //
 // The SWEEP wantZ flag is set at hyperparameter-optimization barriers
 // (the coordinator recomputes every document-topic row from the
@@ -48,7 +53,7 @@ import (
 )
 
 const (
-	protoVersion = 2
+	protoVersion = 3
 	headerSize   = 16
 	maxFrame     = 1 << 30
 )

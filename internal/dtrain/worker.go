@@ -92,7 +92,7 @@ func serveShard(fr *framer, payload []byte, opt WorkerOptions, logf func(string,
 		return nil, abortf("dtrain: decode setup: %v", err)
 	}
 	if setup.Proto != protoVersion {
-		return nil, abortf("dtrain: coordinator speaks protocol %d, worker %d", setup.Proto, protoVersion)
+		return nil, abortf("%w: coordinator speaks protocol %d, worker %d", ErrProtocol, setup.Proto, protoVersion)
 	}
 
 	// Rebuild the shard: zero-copy doc-range view of the corpus file,
@@ -129,21 +129,18 @@ func serveShard(fr *framer, payload []byte, opt WorkerOptions, logf func(string,
 	if err != nil {
 		return nil, coordErr("globals", err)
 	}
-	gr := wireReader{data: globals}
-	gv, gk := int(gr.u32()), int(gr.u32())
-	if gr.err == nil && (gv != setup.V || gk != setup.K) {
-		gr.err = fmt.Errorf("%w: globals are %dx%d, setup says %dx%d", ErrProtocol, gv, gk, setup.V, setup.K)
+	gr, err := topicmodel.DecodeCountRows(globals, setup.V, setup.K)
+	if err != nil {
+		return nil, abortf("%w: globals: %w", ErrProtocol, err)
 	}
-	nwk := gr.i32s(make([]int32, setup.V*setup.K))
-	nk := gr.i64s(make([]int64, setup.K))
-	if gr.err != nil {
-		return nil, abortf("dtrain: globals: %v", gr.err)
-	}
-
 	m, err := topicmodel.NewShardModel(docs, setup.V, setup.K,
-		append([]float64(nil), setup.Alpha...), setup.AlphaSum, setup.Beta, setup.Z, nwk, nk)
+		append([]float64(nil), setup.Alpha...), setup.AlphaSum, setup.Beta, setup.Z,
+		make([]int32, setup.V*setup.K), make([]int64, setup.K))
 	if err != nil {
 		return nil, abortf("dtrain: shard model: %v", err)
+	}
+	if err := m.SetGlobalRows(gr); err != nil {
+		return nil, abortf("%w: globals: %w", ErrProtocol, err)
 	}
 
 	var ready []byte
@@ -210,12 +207,12 @@ func serveShard(fr *framer, payload []byte, opt WorkerOptions, logf func(string,
 			default:
 				return nil, abortf("dtrain: unexpected frame type %d awaiting rows", t)
 			}
-			cr, _, err := topicmodel.DecodeCountRows(rows, setup.V, setup.K)
-			if err != nil {
-				return nil, abortf("dtrain: rows: %v", err)
+			cr, err := topicmodel.DecodeCountRows(rows, setup.V, setup.K)
+			if err == nil {
+				err = m.SetGlobalRows(cr)
 			}
-			if err := m.SetGlobalRows(cr); err != nil {
-				return nil, abortf("dtrain: rows: %v", err)
+			if err != nil {
+				return nil, abortf("%w: rows: %w", ErrProtocol, err)
 			}
 			sweeps++
 

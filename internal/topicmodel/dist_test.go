@@ -1,6 +1,9 @@
 package topicmodel
 
 import (
+	"bytes"
+	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -66,9 +69,9 @@ func distSimulate(t *testing.T, docs []Doc, v int, opt Options, workers int) *Mo
 			}
 			d := sm.ShardSweep(wi, base)
 			wire := d.AppendTo(nil)
-			dec, n, err := DecodeCountRows(wire, v, opt.K)
-			if err != nil || n != len(wire) {
-				t.Fatalf("delta codec round trip: n=%d len=%d err=%v", n, len(wire), err)
+			dec, err := DecodeCountRows(wire, v, opt.K)
+			if err != nil {
+				t.Fatalf("delta codec round trip: len=%d err=%v", len(wire), err)
 			}
 			deltas[wi] = dec
 			sm.ResetShardDelta()
@@ -86,7 +89,7 @@ func distSimulate(t *testing.T, docs []Doc, v int, opt Options, workers int) *Mo
 			}
 		}
 		wire := combined.AppendTo(nil)
-		dec, _, err := DecodeCountRows(wire, v, opt.K)
+		dec, err := DecodeCountRows(wire, v, opt.K)
 		if err != nil {
 			t.Fatalf("globals codec: %v", err)
 		}
@@ -212,41 +215,151 @@ func TestDistBarrierMatchesSweepParallelSparse(t *testing.T) {
 	}
 }
 
-func TestCountRowsCodecErrors(t *testing.T) {
-	cr := &CountRows{K: 2, Words: []int32{3}, Rows: [][]int32{{1, -2}}, Nk: []int64{5, -5}}
-	wire := cr.AppendTo(nil)
-	if _, _, err := DecodeCountRows(wire, 4, 2); err != nil {
-		t.Fatalf("valid decode failed: %v", err)
+// countRowsCase is one CountRows payload for a V=4, K=2 model and the
+// named error decoding it must return (nil: it decodes).
+type countRowsCase struct {
+	name string
+	cr   *CountRows
+	cut  int // bytes to chop off the encoding
+	add  int // zero bytes to append to it
+	want error
+}
+
+// countRowsCases is the malformed-payload table shared by
+// TestCountRowsCodecErrors and the FuzzDecodeCountRows seeds.
+func countRowsCases() []countRowsCase {
+	rows := func(words []int32, lists ...[]uint64) *CountRows {
+		return &CountRows{K: 2, Words: words, Lists: lists, Nk: []int64{5, -5}}
 	}
-	if dec, _, _ := DecodeCountRows(wire, 4, 2); dec.Rows[0][1] != -2 || dec.Nk[1] != -5 {
+	e := packCount
+	return []countRowsCase{
+		{name: "valid signed delta", cr: rows([]int32{3, 1}, []uint64{e(0, 1), e(1, -2)}, []uint64{e(1, 7)})},
+		{name: "empty row", cr: rows([]int32{2}, nil)},
+		{name: "no rows", cr: rows(nil)},
+		{name: "truncated", cr: rows([]int32{3}, []uint64{e(0, 1)}), cut: 1, want: ErrCountRowsTruncated},
+		{name: "truncated header", cr: rows(nil), cut: 8*2 + 1, want: ErrCountRowsTruncated},
+		{name: "row count beyond payload", cr: rows([]int32{3}, []uint64{e(0, 1)}), cut: 8*2 + 16, want: ErrCountRowsTruncated},
+		{name: "trailing bytes", cr: rows([]int32{3}, []uint64{e(0, 1)}), add: 3, want: ErrCountRowsTrailing},
+		{name: "K mismatch", cr: &CountRows{K: 3, Nk: []int64{0, 0, 0}}, want: ErrCountRowsShape},
+		{name: "more rows than words", cr: rows([]int32{0, 1, 2, 3, 0}, nil, nil, nil, nil, nil), want: ErrCountRowsShape},
+		{name: "word beyond vocab", cr: rows([]int32{4}, []uint64{e(0, 1)}), want: ErrCountRowsWord},
+		{name: "negative word", cr: rows([]int32{-1}, []uint64{e(0, 1)}), want: ErrCountRowsWord},
+		{name: "duplicate word", cr: rows([]int32{1, 1}, []uint64{e(0, 1)}, []uint64{e(1, 1)}), want: ErrCountRowsDupWord},
+		{name: "more than K entries", cr: rows([]int32{0}, []uint64{e(0, 1), e(1, 1), e(0, 2)}), want: ErrCountRowsTooLong},
+		{name: "topic >= K", cr: rows([]int32{0}, []uint64{e(2, 1)}), want: ErrCountRowsTopic},
+		{name: "zero count", cr: rows([]int32{0}, []uint64{e(1, 0)}), want: ErrCountRowsZero},
+		{name: "duplicate topic", cr: rows([]int32{0}, []uint64{e(1, 1), e(1, 2)}), want: ErrCountRowsDupTopic},
+	}
+}
+
+// TestCountRowsCodecErrors pins every malformed payload to its named
+// error, valid payloads to a byte-exact round trip, and the installer's
+// extra rule for absolute values (ROWS, GLOBALS): positive counts only.
+func TestCountRowsCodecErrors(t *testing.T) {
+	for _, tc := range countRowsCases() {
+		wire := tc.cr.AppendTo(nil)
+		wire = append(wire[:len(wire)-tc.cut], make([]byte, tc.add)...)
+		dec, err := DecodeCountRows(wire, 4, 2)
+		if !errors.Is(err, tc.want) || (err != nil) != (tc.want != nil) {
+			t.Errorf("%s: got error %v, want %v", tc.name, err, tc.want)
+			continue
+		}
+		if err == nil && !bytes.Equal(dec.AppendTo(nil), wire) {
+			t.Errorf("%s: decoded payload re-encodes differently", tc.name)
+		}
+	}
+	if dec, _ := DecodeCountRows(countRowsCases()[0].cr.AppendTo(nil), 4, 2); int32(dec.Lists[0][1]>>32) != -2 || dec.Nk[1] != -5 {
 		t.Fatal("negative deltas mangled in transit")
 	}
-	if _, _, err := DecodeCountRows(wire[:len(wire)-1], 4, 2); err == nil {
-		t.Fatal("truncated payload accepted")
+	if _, err := DecodeCountRows(nil, 4, 2); !errors.Is(err, ErrCountRowsTruncated) {
+		t.Fatalf("empty payload: %v", err)
 	}
-	if _, _, err := DecodeCountRows(wire, 4, 3); err == nil {
-		t.Fatal("K mismatch accepted")
+
+	// A signed delta decodes, but installing it as global values fails,
+	// as does a negative topic total; a rejected install changes nothing.
+	m := NewModel(mixedCliqueDocs(10), 10, Options{K: 2, Iterations: 1, Seed: 3})
+	before := m.GlobalRows().AppendTo(nil)
+	for _, cr := range []*CountRows{
+		{K: 2, Words: []int32{0}, Lists: [][]uint64{{packCount(0, 3), packCount(1, -1)}}, Nk: []int64{3, 0}},
+		{K: 2, Words: []int32{0}, Lists: [][]uint64{{packCount(0, 3)}}, Nk: []int64{3, -1}},
+	} {
+		dec, err := DecodeCountRows(cr.AppendTo(nil), 10, 2)
+		if err != nil {
+			t.Fatalf("signed payload rejected by the codec: %v", err)
+		}
+		if err := m.SetGlobalRows(dec); !errors.Is(err, ErrCountRowsNonPositive) {
+			t.Fatalf("non-positive global rows: got %v, want ErrCountRowsNonPositive", err)
+		}
 	}
-	if _, _, err := DecodeCountRows(wire, 3, 2); err == nil {
-		t.Fatal("word id beyond vocab accepted")
+	if !bytes.Equal(m.GlobalRows().AppendTo(nil), before) {
+		t.Fatal("rejected global rows modified the model")
 	}
-	if _, _, err := DecodeCountRows(nil, 4, 2); err == nil {
-		t.Fatal("empty payload accepted")
+}
+
+// FuzzDecodeCountRows feeds DecodeCountRows arbitrary payloads for
+// model shapes up to 4096×4096. It must never panic; it must allocate
+// in proportion to the payload (plus its O(V + K) validation scratch),
+// not to the row and entry counts the payload claims; and every
+// payload it accepts must re-encode to the same bytes. Seeds: a real
+// DELTA, ROWS and GLOBALS payload and the malformed-payload table. The
+// real payloads come from a tiny model: the minimizer's cost grows
+// with the square of an input's length.
+func FuzzDecodeCountRows(f *testing.F) {
+	const v, k = 10, 3
+	m := NewModel(mixedCliqueDocs(8), v, Options{K: k, Iterations: 1, Seed: 9})
+	sm := shardOf(f, m, 0, len(m.Docs))
+	delta := sm.ShardSweep(0, 1)
+	f.Add(delta.AppendTo(nil), uint16(v), uint16(k))
+	rows, err := m.FoldShardDeltas([]*CountRows{delta})
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(rows.AppendTo(nil), uint16(v), uint16(k))
+	f.Add(m.GlobalRows().AppendTo(nil), uint16(v), uint16(k))
+	for _, tc := range countRowsCases() {
+		wire := tc.cr.AppendTo(nil)
+		f.Add(append(wire[:len(wire)-tc.cut], make([]byte, tc.add)...), uint16(4), uint16(2))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, v, k uint16) {
+		if v == 0 || k == 0 || v > 4096 || k > 4096 {
+			return
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cr, err := DecodeCountRows(data, int(v), int(k))
+		runtime.ReadMemStats(&after)
+		limit := 8*len(data) + 8*(int(v)+int(k)) + 16<<10
+		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(limit) {
+			t.Fatalf("decoding %d bytes (V=%d, K=%d) allocated %d bytes, limit %d", len(data), v, k, got, limit)
+		}
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(cr.AppendTo(nil), data) {
+			t.Fatalf("accepted payload re-encodes differently")
+		}
+	})
 }
 
 func TestFoldShardDeltasRejectsBadDeltas(t *testing.T) {
 	docs := mixedCliqueDocs(10)
 	m := NewModel(docs, 10, Options{K: 2, Iterations: 1, Seed: 3})
-	if _, err := m.FoldShardDeltas([]*CountRows{{K: 3, Nk: []int64{0, 0, 0}}}); err == nil {
-		t.Fatal("K mismatch accepted")
+	if _, err := m.FoldShardDeltas([]*CountRows{{K: 3, Nk: []int64{0, 0, 0}}}); !errors.Is(err, ErrCountRowsShape) {
+		t.Fatalf("K mismatch: %v", err)
 	}
-	bad := &CountRows{K: 2, Words: []int32{99}, Rows: [][]int32{{1, 0}}, Nk: []int64{1, 0}}
-	if _, err := m.FoldShardDeltas([]*CountRows{bad}); err == nil {
-		t.Fatal("out-of-vocab word accepted")
+	bad := &CountRows{K: 2, Words: []int32{99}, Lists: [][]uint64{{packCount(0, 1)}}, Nk: []int64{1, 0}}
+	if _, err := m.FoldShardDeltas([]*CountRows{bad}); !errors.Is(err, ErrCountRowsWord) {
+		t.Fatalf("out-of-vocab word: %v", err)
+	}
+	bad = &CountRows{K: 2, Words: []int32{1}, Lists: [][]uint64{{packCount(5, 1)}}, Nk: []int64{1, 0}}
+	if _, err := m.FoldShardDeltas([]*CountRows{bad}); !errors.Is(err, ErrCountRowsTopic) {
+		t.Fatalf("out-of-range topic: %v", err)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatalf("rejected deltas modified the model: %v", err)
 	}
 	// A delta that drives a count negative must be rejected loudly.
-	neg := &CountRows{K: 2, Words: []int32{0}, Rows: [][]int32{{-1000, 0}}, Nk: []int64{-1000, 0}}
+	neg := &CountRows{K: 2, Words: []int32{0}, Lists: [][]uint64{{packCount(0, -1000)}}, Nk: []int64{-1000, 0}}
 	if _, err := m.FoldShardDeltas([]*CountRows{neg}); err == nil {
 		t.Fatal("negative fold accepted")
 	}

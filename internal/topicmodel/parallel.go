@@ -1,6 +1,7 @@
 package topicmodel
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -39,11 +40,12 @@ import (
 //
 // Memory: a worker's delta is sparse — one reusable live list per word
 // its shard touched, plus an O(V) slot index — and is never stored as
-// K-stride rows while sampling; δ_w is the live list minus the frozen
-// one. The buffers persist across sweeps: after the first sweeps of a
-// training run, SweepParallel allocates nothing proportional to the
-// model. Reconciliation walks only those lists, worker-outermost, so a
-// touched row costs O(nnz), not O(K).
+// K-stride rows; δ_w is the live list minus the frozen one, and a
+// distributed worker ships it as that difference's (count, topic)
+// entries. The buffers persist across sweeps: after the first sweeps
+// of a training run, SweepParallel allocates nothing proportional to
+// the model. Reconciliation walks only those lists, worker-outermost,
+// so a touched row costs O(nnz), not O(K).
 
 // workerSeedStride separates the per-worker RNG streams derived from a
 // sweep's base draw. The distributed worker (dist.go) must use the
@@ -224,8 +226,8 @@ type parState struct {
 // N_k + δ_k in buckets.nk, and, for each word it touched, a live
 // packed topic list of N_wk + δ_wk, seeded from the frozen index on
 // first touch and maintained like the serial index. The word delta is
-// never stored densely while sampling: δ_w is the live list minus the
-// frozen one, materialised as K-stride rows only for the wire
+// never stored densely: δ_w is the live list minus the frozen one,
+// materialised as sparse (count, topic) entries only for the wire
 // (ShardSweep). All buffers are reused across sweeps.
 type parWorker struct {
 	buckets
@@ -234,8 +236,10 @@ type parWorker struct {
 	slotOf  []int32    // [V] index into live, -1 = word untouched
 	live    [][]uint64 // per slot: packed live topic list of its word
 	touched []int32    // word of each slot, in first-touch order
-	rows    [][]int32  // per slot: dense δ_w, materialised by ShardSweep
 	wcnt    []int32    // [W·K] scratch count rows of the clique at hand, zero between draws
+	dent    []uint64   // delta: entry arena of the lists below
+	dwords  []int32    // delta: words whose counts moved
+	dlists  [][]uint64 // delta: packed δ_w of each, in dent
 	crows   [][]int32  // the clique's rows in wcnt
 	rng     *xrand.RNG
 }
@@ -388,24 +392,54 @@ func (ws *parWorker) apply(clique []int32, k int32, sign int32) {
 	ws.moveTopic(k, oldNdk, newNdk)
 }
 
-// deltaRows materialises the sweep's word delta as dense K-stride rows,
-// one per touched word in slot order: δ_w = live list − frozen list.
-// The rows are reused buffers, valid until the next call.
-func (ws *parWorker) deltaRows() [][]int32 {
-	for len(ws.rows) < len(ws.touched) {
-		ws.rows = append(ws.rows, make([]int32, ws.k))
+// delta returns the sweep's word delta as sparse rows in slot order:
+// for every word whose counts moved, δ_w = live list − frozen list as
+// packed signed (count, topic) entries, built in O(nnz) through the
+// zeroed scratch row. Words whose moves cancelled out are left out.
+// The result aliases reusable buffers, valid until the next sweep.
+func (ws *parWorker) delta() *CountRows {
+	if len(ws.wcnt) < ws.k {
+		ws.wcnt = make([]int32, ws.k)
 	}
+	row := ws.wcnt[:ws.k]
+	n := 0
 	for si, w := range ws.touched {
-		row := ws.rows[si]
-		clear(row)
-		for _, e := range ws.wt[w] {
+		n += len(ws.wt[w]) + len(ws.live[si])
+	}
+	// Sized once, so the lists below never move.
+	ents := slices.Grow(ws.dent[:0], n)
+	words, lists := ws.dwords[:0], ws.dlists[:0]
+	for si, w := range ws.touched {
+		frozen, live := ws.wt[w], ws.live[si]
+		for _, e := range frozen {
 			row[uint32(e)] -= int32(e >> 32)
 		}
-		for _, e := range ws.live[si] {
+		for _, e := range live {
 			row[uint32(e)] += int32(e >> 32)
 		}
+		start := len(ents)
+		ents = appendMoved(ents, row, frozen)
+		ents = appendMoved(ents, row, live)
+		if len(ents) > start {
+			words = append(words, w)
+			lists = append(lists, ents[start:len(ents):len(ents)])
+		}
 	}
-	return ws.rows[:len(ws.touched)]
+	ws.dent, ws.dwords, ws.dlists = ents, words, lists
+	return &CountRows{K: ws.k, Words: words, Lists: lists, Nk: ws.dnk}
+}
+
+// appendMoved appends the nonzero scratch-row entries of the topics in
+// list to dst and zeroes them, so a topic on both lists goes out once.
+func appendMoved(dst []uint64, row []int32, list []uint64) []uint64 {
+	for _, e := range list {
+		k := uint32(e)
+		if c := row[k]; c != 0 {
+			dst = append(dst, packCount(k, c))
+			row[k] = 0
+		}
+	}
+	return dst
 }
 
 // TrainParallel is Train with SweepParallel; see the package-level

@@ -132,8 +132,9 @@ func newBuckets(k int, lengths []int) buckets {
 
 // sparseSampler is the serial sampler: buckets over the live counts
 // plus the word-topic index. It lives on the Model but is rebuilt on
-// demand; paths that bulk-edit Nwk either refresh the rows they touch
-// (parallel reconcile, distributed folds) or invalidate it wholesale.
+// demand; paths that bulk-edit Nwk either keep the lists of the rows
+// they touch current (parallel reconcile, distributed folds and row
+// installs) or invalidate it wholesale.
 type sparseSampler struct {
 	buckets
 	m     *Model
@@ -162,19 +163,6 @@ func (m *Model) invalidateSparse() {
 	}
 }
 
-// refreshWordRows brings the word-topic index entries of the given
-// words up to date after their count rows were overwritten, keeping a
-// live index live in O(rows × K) instead of the O(V·K) rebuild
-// invalidation costs.
-func (m *Model) refreshWordRows(words []int32) {
-	if m.sp == nil || !m.sp.valid {
-		return
-	}
-	for _, w := range words {
-		m.sp.refreshWord(w)
-	}
-}
-
 // buildWordLists materialises the packed per-word nonzero topic lists
 // from the count matrix: one O(V·K) scan, paid only after the index
 // was invalidated (first sparse sweep, or after a dense sweep).
@@ -191,8 +179,7 @@ func (sp *sparseSampler) buildWordLists() {
 
 // refreshWord rebuilds word w's list from its count row, whatever the
 // list held before: the listed topics are recounted in place and the
-// row is scanned for new ones. Counts move little between barriers,
-// so a refreshed list stays nearly sorted and the sort is cheap.
+// row is scanned for new ones.
 func (sp *sparseSampler) refreshWord(w int32) {
 	list := sp.recount(w)
 	st := sp.stamp

@@ -336,7 +336,7 @@ func TestSparseWorkerMatchesDenseConditional(t *testing.T) {
 	deltas := make([]*CountRows, len(shards))
 	for wi, sm := range shards {
 		wire := sm.ShardSweep(wi, base).AppendTo(nil)
-		dec, _, err := DecodeCountRows(wire, m.V, m.K)
+		dec, err := DecodeCountRows(wire, m.V, m.K)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,19 +358,26 @@ func TestSparseWorkerMatchesDenseConditional(t *testing.T) {
 		ws := sm.ensurePar(1).workers[0]
 		o := newDenseWorker(sm, 0)
 		checkWorkerSweep(t, sm, ws, sm.sp.wt, 0, len(sm.Docs), base+uint64(wi)*workerSeedStride, o, &cov)
-		rows := ws.deltaRows()
-		for si, w := range ws.touched {
-			if !int32SlicesEq(rows[si], o.row(w)) {
-				t.Fatalf("shard %d: wire delta of word %d %v, oracle %v", wi, w, rows[si], o.row(w))
+		delta := ws.delta()
+		got := make([][]int32, sm.V)
+		for i, w := range delta.Words {
+			if _, ok := o.rows[w]; !ok {
+				t.Fatalf("shard %d: wire delta for word %d, which the oracle never moved", wi, w)
+			}
+			got[w] = make([]int32, sm.K)
+			for _, e := range delta.Lists[i] {
+				got[w][uint32(e)] = int32(e >> 32)
 			}
 		}
 		for w, row := range o.rows {
-			if ws.slotOf[w] < 0 {
+			if got[w] == nil {
 				for _, v := range row {
 					if v != 0 {
 						t.Fatalf("shard %d: word %d has an oracle delta but no wire row", wi, w)
 					}
 				}
+			} else if !int32SlicesEq(got[w], row) {
+				t.Fatalf("shard %d: wire delta of word %d %v, oracle %v", wi, w, got[w], row)
 			}
 		}
 	}
